@@ -8,7 +8,10 @@ pytest-benchmark's normal multi-round machinery since each run is short.
 It also guards the instrumentation contract: with no observers attached the
 engine stores no event bus, and the remaining ``is None`` tests at the
 emission sites must cost ≤ 2 % against a reference walk with the
-instrumentation hooks stripped out entirely.
+instrumentation hooks stripped out entirely.  With a live
+``MetricsRegistry`` attached, the on-cost (wall time with the registry over
+wall time without) is recorded and must not slide back to what it was
+before per-hook dispatch and pre-bound registry series.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.core.execution import ExecutionEngine
 from repro.core.ets import OnDemandEts
 from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
+from repro.obs import MetricsRegistry
 from repro.sim.clock import VirtualClock
 from repro.sim.cost import CostModel
 from repro.workloads.scenarios import ScenarioConfig, build_union_scenario
@@ -48,7 +52,7 @@ def test_engine_throughput(benchmark):
         "throughput",
         {"delivered_tuples": delivered, "mean_run_s": round(mean_s, 4),
          "delivered_per_s": round(delivered / mean_s)},
-        workload=CFG | {"cost_model": "zero"})
+        merge=True, workload=CFG | {"cost_model": "zero"})
 
 
 # --------------------------------------------------------------------- #
@@ -123,7 +127,8 @@ class _BareEngine(ExecutionEngine):
         return result
 
 
-def _drive(engine_cls, *, tuples: int = 2000, chunk: int = 20) -> float:
+def _drive(engine_cls, *, tuples: int = 2000, chunk: int = 20,
+           observers=None) -> float:
     """Build the Fig.-4 query fresh and time a chunked wakeup drive."""
     graph = QueryGraph("overhead")
     fast = graph.add_source("fast")
@@ -139,7 +144,7 @@ def _drive(engine_cls, *, tuples: int = 2000, chunk: int = 20) -> float:
     graph.connect(union, sink)
     clock = VirtualClock()
     engine = engine_cls(graph, clock, cost_model=None,
-                        ets_policy=OnDemandEts())
+                        ets_policy=OnDemandEts(), observers=observers)
     rng = random.Random(9)
     payloads = [{"seq": i, "value": rng.random()} for i in range(tuples)]
     start = perf_counter()
@@ -150,7 +155,7 @@ def _drive(engine_cls, *, tuples: int = 2000, chunk: int = 20) -> float:
             fast.ingest(payload, now=now)
         engine.wakeup(entry=fast)
     elapsed = perf_counter() - start
-    assert engine.bus is None or engine_cls is ExecutionEngine
+    assert (engine.bus is None) is (not observers)
     assert engine.stats.steps > tuples  # the walk really ran
     return elapsed
 
@@ -191,3 +196,56 @@ def test_no_observer_fast_path_overhead_under_2pct():
     assert ratio <= 1.02, (
         f"no-observer engine is {ratio:.4f}x the uninstrumented reference "
         "(budget: 1.02) — an emission site lost its bus-is-None guard?")
+
+
+# --------------------------------------------------------------------- #
+# On-cost guard for a live MetricsRegistry
+
+#: ``registry_on_cost_ratio`` of the engine before per-hook bus dispatch,
+#: pre-bound registry series and the graph-read depth gauge: the lowest of
+#: three runs of this test (2.65x-2.72x; Python 3.11, 2-vCPU x86-64 VM).
+#: A live registry must not cost that much again.
+PRE_FAST_PATH_ON_COST = 2.65
+#: ROADMAP's aim for the on-cost; reported, not gated.
+ON_COST_AIM = 1.10
+
+
+def test_registry_on_cost():
+    """Time the same Fig.-4 drive with a live registry and with none.
+
+    Interleaved min-of-k, as in the no-observer guard: noise only inflates
+    a timing, so the per-variant minima converge and their ratio is the
+    registry's own cost.
+    """
+    import gc
+
+    _drive(ExecutionEngine, tuples=2000)  # warmup both paths
+    _drive(ExecutionEngine, tuples=2000, observers=[MetricsRegistry()])
+    bare = live = float("inf")
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(8):
+            bare = min(bare, _drive(ExecutionEngine, tuples=10_000))
+            live = min(live, _drive(ExecutionEngine, tuples=10_000,
+                                    observers=[MetricsRegistry()]))
+            gc.collect()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    ratio = live / bare
+    verdict = "within" if ratio <= ON_COST_AIM else "above"
+    print(f"\nX5 — live MetricsRegistry on-cost: {ratio:.4f}x of no "
+          f"observers ({live * 1e3:.1f} ms vs {bare * 1e3:.1f} ms), "
+          f"{verdict} the {ON_COST_AIM:.2f}x aim; guard "
+          f"{PRE_FAST_PATH_ON_COST:.2f}x")
+    record_bench(
+        "throughput",
+        {"registry_on_cost_ratio": round(ratio, 4),
+         "registry_on_cost_live_ms": round(live * 1e3, 2),
+         "registry_on_cost_bare_ms": round(bare * 1e3, 2)},
+        merge=True)
+    assert ratio <= PRE_FAST_PATH_ON_COST, (
+        f"a live MetricsRegistry costs {ratio:.4f}x (guard: "
+        f"{PRE_FAST_PATH_ON_COST:.2f}x, the pre-fast-path figure) — did a "
+        "hook lose its pre-bound series or the bus its per-hook tables?")

@@ -249,6 +249,8 @@ class ExecutionEngine:
                             if not isinstance(op, SourceNode)]
         obs_list = list(observers) if observers is not None else []
         self.bus: EventBus | None = EventBus(obs_list) if obs_list else None
+        for observer in obs_list:
+            self._bind_observer(observer)
         self._buffer_forward = None
         self._wire_buffer_events()
         if monitor is not None and self.bus is not None \
@@ -260,19 +262,24 @@ class ExecutionEngine:
         if self.bus is None:
             self.bus = EventBus()
         self.bus.attach(observer)
+        self._bind_observer(observer)
         self._wire_buffer_events()
         if self.monitor is not None \
                 and getattr(self.monitor, "bus", None) is None:
             self.monitor.bus = self.bus
         return self
 
+    def _bind_observer(self, observer: Observer) -> None:
+        """Hand an attached observer the graph this engine runs."""
+        bind = getattr(observer, "bind_graph", None)
+        if bind is not None:
+            bind(self.graph)
+
     def _wire_buffer_events(self) -> None:
         """Feed buffer-occupancy changes to the bus iff someone listens."""
         bus = self.bus
         if bus is None or getattr(self, "_buffer_forward", None) is not None \
-                or not any(
-                    type(o).on_buffer_change is not Observer.on_buffer_change
-                    for o in bus.observers):
+                or not bus.listeners("on_buffer_change"):
             return
         registry, clock = self.graph.registry, self.clock
 

@@ -22,6 +22,10 @@ Design constraints, in order:
    :attr:`EventBus.errors`; remaining observers still receive the event.
 3. **Deterministic ordering.**  Observers are invoked in registration
    order, for every event.
+
+Dispatch is per hook: the bus keeps, for each hook, the tuple of observers
+that override it, so an event costs one call per observer that listens and
+nothing for those that do not.
 """
 
 from __future__ import annotations
@@ -69,7 +73,18 @@ class Observer:
     * :meth:`on_fault` — a fault-path action (``kind`` is ``"degrade"``,
       ``"fallback"``, ``"resync"``, ``"quarantine"``, ``"violation"``, …).
     * :meth:`on_quiesce` — the wake-up round ran out of work.
+
+    :meth:`bind_graph` is not a hook: an engine calls it once when the
+    observer is attached, handing over the query graph it runs.
     """
+
+    def bind_graph(self, graph) -> None:
+        """The engine this observer was attached to runs ``graph``.
+
+        Lets an observer read state the graph already maintains — e.g. the
+        buffer occupancy its :class:`~repro.core.buffers.BufferRegistry`
+        keeps incrementally — instead of hearing one event per change.
+        """
 
     def on_wakeup(self, *, round_id: int, time: float,
                   entry: str | None = None) -> None:
@@ -171,8 +186,40 @@ class Observer:
         """
 
 
+#: The base no-op of every hook: an observer whose class still has it (and
+#: whose instance sets no attribute of that name) does not listen.
+_NOOPS = {hook: getattr(Observer, hook) for hook in HOOKS}
+
+
+def _dispatcher(hook: str):
+    """The public emit method for ``hook``: loop that hook's own table.
+
+    The hook is still resolved with ``getattr`` per call, not cached as a
+    bound method: an instance attribute rebound after attach (a wrapping
+    tracer, a test probe) must be the one that runs.
+    """
+    def emit(self: "EventBus", **kw) -> None:
+        for observer in self._tables[hook]:
+            try:
+                getattr(observer, hook)(**kw)
+            except Exception as exc:  # noqa: BLE001 - isolation by contract
+                self.error_count += 1
+                if len(self.errors) < self.max_errors:
+                    self.errors.append((observer, hook, exc))
+
+    emit.__name__ = emit.__qualname__ = hook[3:]
+    emit.__doc__ = f"Publish one ``{hook}`` event."
+    return emit
+
+
 class EventBus:
     """Fans events out to registered observers, isolating their failures.
+
+    Each hook has its own dispatch table: the observers, in registration
+    order, whose class overrides that hook or whose instance sets it.  The
+    tables are rebuilt on :meth:`attach` / :meth:`detach`, so a hook nobody
+    listens to costs an empty loop — e.g. ``buffer_change`` or ``quiesce`` under a bare
+    :class:`~repro.obs.registry.MetricsRegistry`.
 
     Args:
         observers: Initial observers, invoked in this order for every event.
@@ -181,80 +228,68 @@ class EventBus:
             :attr:`error_count`.
     """
 
-    __slots__ = ("observers", "errors", "error_count", "max_errors")
+    __slots__ = ("_observers", "_tables", "errors", "error_count",
+                 "max_errors")
 
     def __init__(self, observers: Iterable[Observer] = (),
                  *, max_errors: int = 100) -> None:
-        self.observers: list[Observer] = list(observers)
+        self._observers: list[Observer] = list(observers)
         self.errors: list[tuple[Observer, str, Exception]] = []
         self.error_count = 0
         self.max_errors = max_errors
+        self._rebuild()
+
+    @property
+    def observers(self) -> tuple[Observer, ...]:
+        """Registered observers in dispatch order (change with attach/detach)."""
+        return tuple(self._observers)
+
+    def listeners(self, hook: str) -> tuple[Observer, ...]:
+        """The observers ``hook`` is dispatched to, in order."""
+        return self._tables[hook]
 
     def attach(self, observer: Observer) -> "EventBus":
         """Register ``observer`` (appended: it sees events last)."""
-        self.observers.append(observer)
+        self._observers.append(observer)
+        self._rebuild()
         return self
 
     def detach(self, observer: Observer) -> None:
         """Unregister ``observer`` (no-op when not registered)."""
         try:
-            self.observers.remove(observer)
+            self._observers.remove(observer)
         except ValueError:
-            pass
+            return
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        tables: dict[str, tuple[Observer, ...]] = dict.fromkeys(HOOKS, ())
+        for observer in self._observers:
+            cls, own = type(observer), getattr(observer, "__dict__", ())
+            for hook, noop in _NOOPS.items():
+                if getattr(cls, hook, None) is not noop or hook in own:
+                    tables[hook] += (observer,)
+        self._tables = tables
 
     def __len__(self) -> int:
-        return len(self.observers)
+        return len(self._observers)
 
     # ------------------------------------------------------------------ #
-    # Dispatch
+    # Dispatch: one method per hook, each looping its own table.
 
-    def _emit(self, hook: str, kw: dict) -> None:
-        for observer in self.observers:
-            try:
-                getattr(observer, hook)(**kw)
-            except Exception as exc:  # noqa: BLE001 - isolation by contract
-                self.error_count += 1
-                if len(self.errors) < self.max_errors:
-                    self.errors.append((observer, hook, exc))
-
-    def wakeup(self, **kw) -> None:
-        self._emit("on_wakeup", kw)
-
-    def step(self, **kw) -> None:
-        self._emit("on_step", kw)
-
-    def nos_decision(self, **kw) -> None:
-        self._emit("on_nos_decision", kw)
-
-    def ets(self, **kw) -> None:
-        self._emit("on_ets", kw)
-
-    def punctuation(self, **kw) -> None:
-        self._emit("on_punctuation", kw)
-
-    def arrival(self, **kw) -> None:
-        self._emit("on_arrival", kw)
-
-    def buffer_change(self, **kw) -> None:
-        self._emit("on_buffer_change", kw)
-
-    def fault(self, **kw) -> None:
-        self._emit("on_fault", kw)
-
-    def quiesce(self, **kw) -> None:
-        self._emit("on_quiesce", kw)
-
-    def checkpoint(self, **kw) -> None:
-        self._emit("on_checkpoint", kw)
-
-    def recovery(self, **kw) -> None:
-        self._emit("on_recovery", kw)
-
-    def shard(self, **kw) -> None:
-        self._emit("on_shard", kw)
-
-    def feedback(self, **kw) -> None:
-        self._emit("on_feedback", kw)
+    wakeup = _dispatcher("on_wakeup")
+    step = _dispatcher("on_step")
+    nos_decision = _dispatcher("on_nos_decision")
+    ets = _dispatcher("on_ets")
+    punctuation = _dispatcher("on_punctuation")
+    arrival = _dispatcher("on_arrival")
+    buffer_change = _dispatcher("on_buffer_change")
+    fault = _dispatcher("on_fault")
+    quiesce = _dispatcher("on_quiesce")
+    checkpoint = _dispatcher("on_checkpoint")
+    recovery = _dispatcher("on_recovery")
+    shard = _dispatcher("on_shard")
+    feedback = _dispatcher("on_feedback")
 
 
 class NullBus(EventBus):
@@ -262,7 +297,8 @@ class NullBus(EventBus):
 
     Call sites outside the engine's hot loops (kernel event trains, fault
     monitors) use ``bus or NULL_BUS`` so they can emit unconditionally; the
-    engine itself keeps the cheaper ``if bus is not None`` guard.
+    engine itself keeps the cheaper ``if bus is not None`` guard.  Nothing
+    can attach, so every dispatch table stays empty.
     """
 
     __slots__ = ()
@@ -270,9 +306,6 @@ class NullBus(EventBus):
     def attach(self, observer: Observer) -> "EventBus":
         raise TypeError("NULL_BUS is shared and immutable; "
                         "create an EventBus to attach observers")
-
-    def _emit(self, hook: str, kw: dict) -> None:
-        pass
 
 
 #: Shared do-nothing bus; safe to emit into from anywhere.

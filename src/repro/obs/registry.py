@@ -8,14 +8,20 @@ four shapes (:class:`~repro.core.execution.EngineStats` fields,
 suite's :class:`~repro.metrics.recovery.RecoveryTracker`).  A
 :class:`MetricsRegistry` is one place: it *observes* the event bus for
 everything that can be counted live (steps, NOS decisions, ETS
-consultations, punctuation, buffer depth, faults, batch run lengths) and
-*absorbs* the remaining end-of-run aggregates from the engine, the idle
-tracker, and the recovery tracker — producing one ``snake_case``
-``as_dict()`` snapshot and one Prometheus text rendering.
+consultations, punctuation, faults, batch run lengths), reads buffer depth
+from the graph its engine runs, and *absorbs* the remaining end-of-run
+aggregates from the engine, the idle tracker, and the recovery tracker —
+producing one ``snake_case`` ``as_dict()`` snapshot and one Prometheus text
+rendering.
+
+The live hooks run once or more per arrival, so they write through
+pre-bound label children (:meth:`Counter.labels`, bound lazily per raw
+label value) and never sort label items or build a label dict per event.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .bus import Observer
@@ -55,6 +61,25 @@ class _Metric:
         self.name = name
         self.help = help
 
+    @cached_property
+    def _keys(self) -> dict[tuple, LabelValues]:
+        return {}
+
+    def _key(self, labels: Mapping[str, object]) -> LabelValues:
+        """The canonical (sorted, stringified) key of ``labels``, memoised
+        on the raw items so the hot path never sorts.  Raw values that
+        compare equal (``1``, ``1.0``, ``True``) share one series."""
+        if not labels:
+            return ()
+        raw = tuple(labels.items())
+        try:
+            return self._keys[raw]
+        except KeyError:
+            key = self._keys[raw] = _labels_key(labels)
+            return key
+        except TypeError:  # an unhashable raw value: no memo
+            return _labels_key(labels)
+
     def samples(self) -> Iterable[tuple[str, LabelValues, float]]:
         """Yield ``(suffix, labels, value)`` rows for rendering."""
         raise NotImplementedError
@@ -76,8 +101,15 @@ class Counter(_Metric):
     def inc(self, amount: float = 1, **labels) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease")
-        key = _labels_key(labels)
+        key = self._key(labels)
         self._values[key] = self._values.get(key, 0) + amount
+
+    def labels(self, **labels) -> "_CounterChild":
+        """The series for ``labels``, pre-bound (the Prometheus-client
+        idiom): its :meth:`~_CounterChild.inc` skips the key lookup.  The
+        series appears in samples on its first increment, as with
+        :meth:`inc`."""
+        return _CounterChild(self, self._key(labels))
 
     def set_total(self, value: float, **labels) -> None:
         """Absolute assignment for absorbed end-of-run totals.
@@ -87,13 +119,13 @@ class Counter(_Metric):
         idempotent, and monotonicity is still enforced so the series
         remains a valid Prometheus counter.
         """
-        key = _labels_key(labels)
+        key = self._key(labels)
         if value < self._values.get(key, 0):
             raise ValueError(f"counter {self.name!r} cannot decrease")
         self._values[key] = value
 
     def value(self, **labels) -> float:
-        return self._values.get(_labels_key(labels), 0)
+        return self._values.get(self._key(labels), 0)
 
     @property
     def total(self) -> float:
@@ -117,16 +149,16 @@ class Gauge(_Metric):
         self._max: dict[LabelValues, float] = {}
 
     def set(self, value: float, **labels) -> None:
-        key = _labels_key(labels)
+        key = self._key(labels)
         self._values[key] = value
         if self.track_max and value > self._max.get(key, float("-inf")):
             self._max[key] = value
 
     def value(self, **labels) -> float:
-        return self._values.get(_labels_key(labels), 0)
+        return self._values.get(self._key(labels), 0)
 
     def high_water(self, **labels) -> float:
-        return self._max.get(_labels_key(labels), 0)
+        return self._max.get(self._key(labels), 0)
 
     def samples(self) -> Iterable[tuple[str, LabelValues, float]]:
         for key in sorted(self._values):
@@ -155,7 +187,13 @@ class Histogram(_Metric):
         self._n: dict[LabelValues, int] = {}
 
     def observe(self, value: float, **labels) -> None:
-        key = _labels_key(labels)
+        self._observe(self._key(labels), value)
+
+    def labels(self, **labels) -> "_HistogramChild":
+        """The series for ``labels``, pre-bound (see :meth:`Counter.labels`)."""
+        return _HistogramChild(self, self._key(labels))
+
+    def _observe(self, key: LabelValues, value: float) -> None:
         counts = self._counts.get(key)
         if counts is None:
             counts = self._counts[key] = [0] * len(self.buckets)
@@ -169,10 +207,10 @@ class Histogram(_Metric):
         self._n[key] += 1
 
     def count(self, **labels) -> int:
-        return self._n.get(_labels_key(labels), 0)
+        return self._n.get(self._key(labels), 0)
 
     def sum(self, **labels) -> float:
-        return self._sum.get(_labels_key(labels), 0.0)
+        return self._sum.get(self._key(labels), 0.0)
 
     def mean(self, **labels) -> float:
         n = self.count(**labels)
@@ -189,6 +227,118 @@ class Histogram(_Metric):
             yield "_count", key, self._n[key]
 
 
+class _CounterChild:
+    """One pre-bound series of a :class:`Counter` (:meth:`Counter.labels`)."""
+
+    __slots__ = ("_counter", "_values", "_key")
+
+    def __init__(self, counter: Counter, key: LabelValues) -> None:
+        self._counter = counter
+        self._values = counter._values
+        self._key = key
+
+    def inc(self, amount: float = 1) -> None:
+        if amount < 0:
+            raise ValueError(
+                f"counter {self._counter.name!r} cannot decrease")
+        values, key = self._values, self._key
+        values[key] = values.get(key, 0) + amount
+
+
+class _HistogramChild:
+    """One pre-bound series of a :class:`Histogram`."""
+
+    __slots__ = ("_histogram", "_key")
+
+    def __init__(self, histogram: Histogram, key: LabelValues) -> None:
+        self._histogram = histogram
+        self._key = key
+
+    def observe(self, value: float) -> None:
+        self._histogram._observe(self._key, value)
+
+
+class _Children(dict):
+    """Raw label value -> pre-bound child of one metric, bound on first use.
+
+    The live hooks index it with the raw field values they receive, so after
+    the first event per value a series costs one dict hit and one call.  A
+    family with several label names is keyed by the tuple of raw values.
+    """
+
+    __slots__ = ("_metric", "_names")
+
+    def __init__(self, metric: Counter, *names: str) -> None:
+        super().__init__()
+        self._metric = metric
+        self._names = names
+
+    def __missing__(self, raw):
+        values = raw if len(self._names) > 1 else (raw,)
+        child = self[raw] = self._metric.labels(
+            **dict(zip(self._names, values)))
+        return child
+
+
+class _LiveSeries:
+    """The pre-bound children the per-event hooks write to."""
+
+    __slots__ = ("rounds", "steps", "operator_steps", "join_probes",
+                 "emitted", "busy_time", "batch_run_length", "decisions",
+                 "ets", "punctuation", "arrivals")
+
+    def __init__(self, reg: "MetricsRegistry") -> None:
+        self.rounds = reg.rounds.labels()
+        self.steps = _Children(reg.steps, "kind")
+        self.operator_steps = _Children(reg.operator_steps, "operator")
+        self.join_probes = _Children(reg.join_probes, "result")
+        self.emitted = _Children(reg.emitted, "kind")
+        self.busy_time = reg.busy_time.labels()
+        self.batch_run_length = reg.batch_run_length.labels()
+        self.decisions = _Children(reg.nos_decisions, "decision")
+        self.ets = _Children(reg.ets_consultations, "operator", "outcome")
+        self.punctuation = _Children(reg.punctuation_injected,
+                                     "operator", "origin")
+        self.arrivals = _Children(reg.arrivals, "source")
+
+
+class _BufferDepth(Gauge):
+    """``repro_buffer_depth``, read from the bound graphs when collected.
+
+    A graph's :class:`~repro.core.buffers.BufferRegistry` already keeps the
+    live total and its peak (the paper's Fig.-8 figure) incrementally, so
+    the gauge reads them instead of hearing one bus event per buffer
+    mutation.  The series exists once a graph is bound.  Bound to several
+    graphs (engines run one after another, e.g. a restart after recovery),
+    the value is the graph bound last and the high-water the largest peak
+    of any of them.  A graph's peak counts from its creation, so a registry
+    attached late reports what one attached from the start would.
+    """
+
+    _buffers: tuple = ()
+
+    def bind(self, buffers) -> None:
+        self._buffers = tuple(b for b in self._buffers
+                              if b is not buffers) + (buffers,)
+
+    def _read(self) -> None:
+        if self._buffers:
+            self._values[()] = self._buffers[-1].total
+            self._max[()] = max(b.peak for b in self._buffers)
+
+    def value(self, **labels) -> float:
+        self._read()
+        return super().value(**labels)
+
+    def high_water(self, **labels) -> float:
+        self._read()
+        return super().high_water(**labels)
+
+    def samples(self) -> Iterable[tuple[str, LabelValues, float]]:
+        self._read()
+        return super().samples()
+
+
 class MetricsRegistry(Observer):
     """The one metrics surface: live bus-fed series plus absorbed aggregates.
 
@@ -203,8 +353,9 @@ class MetricsRegistry(Observer):
     The live hooks maintain: engine step counters (split data/punctuation,
     per operator), NOS-decision counts, ETS consultations split
     injected/declined, punctuation injections by origin, fault-path actions
-    by kind, the buffer-depth gauge with its high-water mark, and a
-    histogram of micro-batch run lengths.  ``absorb_*`` folds in what only
+    by kind, and a histogram of micro-batch run lengths.  The buffer-depth
+    gauge and its high-water mark are read from the bound graph (see
+    :class:`_BufferDepth`).  ``absorb_*`` folds in what only
     exists as an end-of-run aggregate: :class:`EngineStats` counters,
     per-operator idle-wait time, queue summaries, and recovery figures.
     """
@@ -232,9 +383,9 @@ class MetricsRegistry(Observer):
         self.rounds = c("repro_engine_rounds_total", "Engine wake-up rounds")
         self.arrivals = c("repro_arrivals_total",
                           "Workload tuples delivered to sources")
-        self.buffer_depth = g("repro_buffer_depth",
-                              "Graph-wide live buffered elements",
-                              track_max=True)
+        self.buffer_depth: _BufferDepth = self._register(_BufferDepth(
+            "repro_buffer_depth", "Graph-wide live buffered elements",
+            track_max=True))  # type: ignore[assignment]
         self.batch_run_length = h("repro_batch_run_length",
                                   "Elements consumed per execution step")
         self.join_probes = c(
@@ -350,47 +501,54 @@ class MetricsRegistry(Observer):
     # ------------------------------------------------------------------ #
     # Live bus hooks
 
+    def bind_graph(self, graph) -> None:
+        """Read the buffer-depth gauge from ``graph``'s buffer registry."""
+        self.buffer_depth.bind(graph.registry)
+
+    @cached_property
+    def _live(self) -> _LiveSeries:
+        # Bound on the first event, not in __init__: a registry that never
+        # hears an event costs nothing extra to build.
+        return _LiveSeries(self)
+
     def on_wakeup(self, *, round_id, time, entry=None) -> None:
-        self.rounds.inc()
+        self._live.rounds.inc()
 
     def on_step(self, *, operator, round_id, time, kind, steps=1, probes=0,
                 probes_emitted=0, emitted_data=0, emitted_punctuation=0,
                 duration=0.0) -> None:
-        self.steps.inc(steps, kind=kind)
-        self.operator_steps.inc(steps, operator=operator)
+        live = self._live
+        live.steps[kind].inc(steps)
+        live.operator_steps[operator].inc(steps)
         # Only join steps report probes; skip the labels entirely for
         # joinless runs so the counter does not appear with zero series.
         if probes:
-            self.join_probes.inc(probes, result="examined")
+            live.join_probes["examined"].inc(probes)
         if probes_emitted:
-            self.join_probes.inc(probes_emitted, result="emitted")
+            live.join_probes["emitted"].inc(probes_emitted)
         if emitted_data:
-            self.emitted.inc(emitted_data, kind="data")
+            live.emitted["data"].inc(emitted_data)
         if emitted_punctuation:
-            self.emitted.inc(emitted_punctuation, kind="punctuation")
+            live.emitted["punctuation"].inc(emitted_punctuation)
         if duration:
-            self.busy_time.inc(duration)
-        self.batch_run_length.observe(steps)
+            live.busy_time.inc(duration)
+        live.batch_run_length.observe(steps)
 
     def on_nos_decision(self, *, decision, operator, round_id, time,
                         detail="") -> None:
-        self.nos_decisions.inc(decision=decision)
+        self._live.decisions[decision].inc()
 
     def on_ets(self, *, operator, round_id, time, injected,
                offered=True) -> None:
-        self.ets_consultations.inc(
-            operator=operator,
-            outcome="injected" if injected else "declined")
+        self._live.ets[
+            operator, "injected" if injected else "declined"].inc()
 
     def on_punctuation(self, *, operator, round_id, time, origin,
                        ts=None) -> None:
-        self.punctuation_injected.inc(operator=operator, origin=origin)
+        self._live.punctuation[operator, origin].inc()
 
     def on_arrival(self, *, operator, time, external_ts=None) -> None:
-        self.arrivals.inc(source=operator)
-
-    def on_buffer_change(self, *, total, time) -> None:
-        self.buffer_depth.set(total)
+        self._live.arrivals[operator].inc()
 
     def on_fault(self, *, kind, operator, round_id, time, detail="") -> None:
         self.faults.inc(kind=kind, operator=operator)

@@ -21,6 +21,7 @@ from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
 from repro.core.tracing import Tracer
 from repro.obs import (
+    HOOKS,
     NULL_BUS,
     ChromeTraceExporter,
     EventBus,
@@ -121,6 +122,131 @@ class TestEventBus:
         obs.on_buffer_change(total=3, time=0.0)
         obs.on_fault(kind="degrade", operator="x", round_id=1, time=0.0)
         obs.on_quiesce(round_id=1, time=0.0)
+
+
+# --------------------------------------------------------------------- #
+# Per-hook dispatch tables
+
+#: Keyword fields accepted by every hook, for emitting each one generically.
+HOOK_FIELDS = {
+    "on_wakeup": dict(round_id=1, time=0.0),
+    "on_step": dict(operator="x", round_id=1, time=0.0, kind="data"),
+    "on_nos_decision": dict(decision="forward", operator="x", round_id=1,
+                            time=0.0),
+    "on_ets": dict(operator="x", round_id=1, time=0.0, injected=True),
+    "on_punctuation": dict(operator="x", round_id=1, time=0.0,
+                           origin="ets"),
+    "on_arrival": dict(operator="x", time=0.0),
+    "on_buffer_change": dict(total=1, time=0.0),
+    "on_fault": dict(kind="degrade", operator="x", round_id=1, time=0.0),
+    "on_quiesce": dict(round_id=1, time=0.0),
+    "on_checkpoint": dict(number=1, time=0.0),
+    "on_recovery": dict(checkpoint=1, time=0.0),
+    "on_shard": dict(kind="ingest", shard=0, time=0.0),
+    "on_feedback": dict(kind="pressure", round_id=1, time=0.0),
+}
+
+
+def emit_every_hook(bus: EventBus) -> None:
+    for hook in HOOKS:
+        getattr(bus, hook[3:])(**HOOK_FIELDS[hook])
+
+
+class HookSpy(Recorder):
+    """A Recorder that also logs every hook attribute the bus looks up."""
+
+    def __getattribute__(self, name):
+        if name.startswith("on_"):
+            object.__getattribute__(self, "log").append(("lookup", name))
+        return object.__getattribute__(self, name)
+
+
+class TestDispatchTables:
+    def test_every_hook_has_an_emit_method(self):
+        assert set(HOOK_FIELDS) == set(HOOKS)
+        log: list = []
+        bus = EventBus([Recorder("a", log)])
+        emit_every_hook(bus)
+        assert log == [("a", "step"), ("a", "quiesce")]
+
+    def test_tables_follow_attach_and_detach(self):
+        log: list = []
+        a, b = Recorder("a", log), DepthWatcher()
+        bus = EventBus()
+        assert all(bus.listeners(hook) == () for hook in HOOKS)
+        bus.attach(a)
+        bus.attach(b)
+        assert bus.listeners("on_step") == (a,)
+        assert bus.listeners("on_quiesce") == (a,)
+        assert bus.listeners("on_buffer_change") == (b,)
+        assert bus.listeners("on_wakeup") == ()
+        bus.detach(a)
+        assert bus.listeners("on_step") == ()
+        assert bus.listeners("on_buffer_change") == (b,)
+        bus.step(**HOOK_FIELDS["on_step"])
+        assert log == []  # a detached: nothing dispatched to it
+        bus.detach(b)
+        assert all(bus.listeners(hook) == () for hook in HOOKS)
+        assert bus.observers == ()
+
+    def test_unoverridden_hooks_are_never_looked_up(self):
+        """An observer is not even asked for hooks it leaves as no-ops."""
+        log: list = []
+        spy = HookSpy("s", log)
+        bus = EventBus([spy])
+        assert log == []  # building the tables reads class attributes
+        emit_every_hook(bus)
+        assert log == [("lookup", "on_step"), ("s", "step"),
+                       ("lookup", "on_quiesce"), ("s", "quiesce")]
+
+    def test_instance_hook_rebound_after_attach_is_honoured(self):
+        """The wrapping-tracer contract: dispatch resolves the hook on every
+        event, so rebinding an overridden hook on the instance takes effect
+        without re-attaching."""
+        log: list = []
+        rec = Recorder("a", log)
+        bus = EventBus([rec])
+        inner = rec.on_step
+
+        def traced(**kw):
+            log.append(("traced", "step"))
+            inner(**kw)
+
+        rec.on_step = traced
+        bus.step(**HOOK_FIELDS["on_step"])
+        assert log == [("traced", "step"), ("a", "step")]
+
+    def test_instance_hook_set_before_attach_listens(self):
+        log: list = []
+        probe = Observer()
+        probe.on_wakeup = lambda **kw: log.append("wakeup")
+        bus = EventBus([probe])
+        assert bus.listeners("on_wakeup") == (probe,)
+        emit_every_hook(bus)
+        assert log == ["wakeup"]
+
+    def test_isolation_and_order_when_the_first_observer_raises(self):
+        class FailFirst(Recorder):
+            def on_step(self, **kw):
+                self.log.append((self.tag, "step"))
+                raise RuntimeError("boom")
+
+        log: list = []
+        bus = EventBus([FailFirst("a", log), Recorder("b", log)])
+        bus.step(**HOOK_FIELDS["on_step"])
+        bus.quiesce(**HOOK_FIELDS["on_quiesce"])
+        bus.step(**HOOK_FIELDS["on_step"])
+        assert log == [("a", "step"), ("b", "step"),
+                       ("a", "quiesce"), ("b", "quiesce"),
+                       ("a", "step"), ("b", "step")]
+        assert bus.error_count == 2
+        assert [(type(o).__name__, hook) for o, hook, _ in bus.errors] \
+            == [("FailFirst", "on_step")] * 2
+
+    def test_null_bus_drops_everything(self):
+        assert all(NULL_BUS.listeners(hook) == () for hook in HOOKS)
+        emit_every_hook(NULL_BUS)
+        assert NULL_BUS.error_count == 0 and len(NULL_BUS) == 0
 
 
 # --------------------------------------------------------------------- #

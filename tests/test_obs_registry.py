@@ -4,13 +4,21 @@ the bus, absorbed end-of-run aggregates, and the Prometheus rendering."""
 from __future__ import annotations
 
 import pytest
+from oracle import DifferentialOracle
+from test_columnar import (
+    join_build,
+    make_feeds,
+    make_ooo_feeds,
+    stateful_plan_build,
+    stateless_rich_build,
+)
 
-from repro.core.ets import OnDemandEts
+from repro.core.ets import NoEts, OnDemandEts
 from repro.core.execution import ExecutionEngine
 from repro.core.graph import QueryGraph
 from repro.core.operators import Select, Union
 from repro.metrics.recovery import RecoveryTracker
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, Observer
 from repro.sim.clock import VirtualClock
 from repro.workloads.scenarios import ScenarioConfig, build_union_scenario
 
@@ -35,6 +43,22 @@ class TestCounter:
 
     def test_unseen_labels_read_zero(self):
         assert Counter("hits").value(kind="nope") == 0
+
+    def test_labels_child_writes_the_same_series(self):
+        c = Counter("hits")
+        child = c.labels(kind="data", op=1)
+        assert list(c.samples()) == []  # the series appears on first inc
+        child.inc()
+        c.inc(2, op="1", kind="data")  # label order and str() are canonical
+        assert c.value(kind="data", op=1) == 3
+        assert list(c.samples()) == [("", (("kind", "data"), ("op", "1")), 3)]
+        with pytest.raises(ValueError):
+            child.inc(-1)
+
+    def test_unhashable_label_values_still_work(self):
+        c = Counter("hits")
+        c.inc(op=["a"])
+        assert c.value(op=["a"]) == 1
 
 
 class TestGauge:
@@ -68,6 +92,13 @@ class TestHistogram:
         assert rows[("_bucket", (("le", "4"),))] == 3  # cumulative
         assert rows[("_bucket", (("le", "16"),))] == 3  # 20 overflows
         assert rows[("_bucket", (("le", "+Inf"),))] == 4
+
+    def test_labels_child_observes_the_same_series(self):
+        h = Histogram("runs", buckets=(1, 4))
+        h.labels(op="x").observe(3)
+        h.observe(1, op="x")
+        assert h.count(op="x") == 2 and h.sum(op="x") == 4
+        assert h.count() == 0
 
     def test_unsorted_buckets_rejected(self):
         with pytest.raises(ValueError):
@@ -154,6 +185,112 @@ class TestLiveCounting:
         assert reg.batch_run_length.sum() == engine.stats.steps
         # a run of 10 landed in the (8, 16] bucket
         assert reg.batch_run_length.mean() > 1
+
+
+# --------------------------------------------------------------------- #
+# Buffer depth: read from the graph vs the per-mutation (push) gauge
+
+
+class PushDepth(Observer):
+    """Reference: the depth gauge kept from one ``on_buffer_change`` per
+    buffer mutation.  At every quiescence it records the registry's reading
+    beside its own; hooks run under bus isolation, so the test asserts on
+    the record afterwards."""
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
+        self.total = self.high = 0
+        self.checks: list[tuple[tuple, tuple]] = []
+
+    def on_buffer_change(self, *, total, time) -> None:
+        self.total = total
+        self.high = max(self.high, total)
+
+    def on_quiesce(self, *, round_id, time) -> None:
+        depth = self.registry.buffer_depth
+        self.checks.append(((depth.value(), depth.high_water()),
+                            (self.total, self.high)))
+
+    def assert_agrees(self) -> None:
+        assert self.checks
+        mismatches = [c for c in self.checks if c[0] != c[1]]
+        assert not mismatches, mismatches[:5]
+        assert max(high for _, (_, high) in self.checks) > 0
+
+
+DEPTH_WORKLOADS = {
+    "stateless": (stateless_rich_build, make_feeds),
+    "join": (join_build, make_feeds),
+    "stateful_plan": (stateful_plan_build, make_ooo_feeds),
+}
+
+
+class TestBufferDepthFromGraph:
+    @pytest.mark.parametrize("workload", sorted(DEPTH_WORKLOADS))
+    @pytest.mark.parametrize("mode", [dict(batch_size=1),
+                                      dict(batch_size=8),
+                                      dict(batch_size=8, block_mode=True)],
+                             ids=["scalar", "batch", "block"])
+    def test_matches_push_gauge_at_every_quiescence(self, workload, mode):
+        build, feeds = DEPTH_WORKLOADS[workload]
+        for ets in (NoEts, OnDemandEts):
+            reg = MetricsRegistry()
+            push = PushDepth(reg)
+            DifferentialOracle(build, feeds(), chunk=7).run(
+                ets_policy=ets(), observers=[reg, push], **mode)
+            push.assert_agrees()
+
+    def test_late_attached_registry_reads_the_whole_run(self):
+        """attach_observer binds the graph too.  The graph keeps its peak
+        from its creation, so a registry attached mid-run reports what one
+        attached from the start (the push reference) reports."""
+        g = stateful_plan_build()
+        reg = MetricsRegistry()
+        push = PushDepth(reg)
+        engine = ExecutionEngine(g, VirtualClock(), ets_policy=OnDemandEts(),
+                                 batch_size=8, observers=[push])
+        feeds = make_ooo_feeds()
+        half = len(feeds) // 2
+        for i, f in enumerate(feeds, 1):
+            if i == half:
+                engine.attach_observer(reg)
+                push.checks.clear()  # before attach the registry is unbound
+            engine.clock.advance_to(f.time)
+            g[f.source].ingest(f.payload, now=f.time, ts=f.external_ts)
+            if i % 7 == 0:
+                engine.wakeup(g[f.source])
+        engine.wakeup()
+        push.assert_agrees()
+        assert reg.buffer_depth.high_water() == g.registry.peak
+
+    def test_several_engines_read_the_last_graph(self):
+        """Bound to engines run one after another (a restart, a rerun), the
+        gauge reads the graph bound last and keeps the largest peak of any
+        bound graph — what the push gauge shows for sequential runs."""
+        reg = MetricsRegistry()
+        push = PushDepth(reg)
+        graphs = []
+        for n in (200, 40):
+            g = stateful_plan_build()
+            graphs.append(g)
+            engine = ExecutionEngine(g, VirtualClock(),
+                                     ets_policy=OnDemandEts(),
+                                     observers=[reg, push])
+            for i, f in enumerate(make_ooo_feeds(n), 1):
+                engine.clock.advance_to(f.time)
+                g[f.source].ingest(f.payload, now=f.time, ts=f.external_ts)
+                if i % 9 == 0:
+                    engine.wakeup(g[f.source])
+        push.assert_agrees()
+        first, last = (g.registry for g in graphs)
+        assert first.peak > last.peak and last.total != first.total
+        assert reg.buffer_depth.value() == last.total
+        assert reg.buffer_depth.high_water() == first.peak
+
+    def test_unbound_registry_has_no_depth_series(self):
+        reg = MetricsRegistry()
+        assert not list(reg.buffer_depth.samples())
+        assert "repro_buffer_depth" not in reg.render_prometheus()
 
 
 # --------------------------------------------------------------------- #
