@@ -43,8 +43,9 @@ class StallDetector(Observer):
     The detector is an ordinary :class:`~repro.obs.bus.Observer`: the
     kernel registers it on the engine's event bus, where its
     :meth:`on_arrival` hook feeds :meth:`observe`.  When an arrival ends a
-    stall the :attr:`on_recovery` callback (set by the kernel) drives the
-    resync path.
+    stall the :attr:`recovery_callback` (set by the kernel) drives the
+    resync path.  It is deliberately not named ``on_recovery``: that is the
+    bus hook for recovery from disk, which the detector does not handle.
 
     Args:
         timeout: Silence (stream seconds) after which a source counts as
@@ -56,8 +57,8 @@ class StallDetector(Observer):
     Attributes:
         stalled: Names of sources currently classified as stalled.
         stalls / recoveries: Lifetime transition counters.
-        on_recovery: Optional ``(source_name, now) -> None`` callback fired
-            when an observed arrival ends a stall.
+        recovery_callback: Optional ``(source_name, now) -> None`` callback
+            fired when an observed arrival ends a stall.
     """
 
     def __init__(self, timeout: float, *,
@@ -73,7 +74,7 @@ class StallDetector(Observer):
         self.stalled: set[str] = set()
         self.stalls = 0
         self.recoveries = 0
-        self.on_recovery = None
+        self.recovery_callback = None
         #: Optional ``() -> float`` returning the live feedback pressure
         #: (:attr:`repro.feedback.FeedbackController.pressure`); wired by
         #: the kernel when a controller is installed.  Under pressure the
@@ -88,8 +89,9 @@ class StallDetector(Observer):
     def on_arrival(self, *, operator: str, time: float,
                    external_ts: float | None = None) -> None:
         """Bus hook: every source arrival counts as activity."""
-        if self.observe(operator, time) and self.on_recovery is not None:
-            self.on_recovery(operator, time)
+        if (self.observe(operator, time)
+                and self.recovery_callback is not None):
+            self.recovery_callback(operator, time)
 
     def bind(self, graph, now: float) -> None:
         """Start watching every non-latent source of ``graph`` from ``now``.

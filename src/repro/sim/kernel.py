@@ -212,8 +212,8 @@ class Simulation:
                     "stall_detector requires a degradation-capable ETS "
                     "policy; wrap yours in repro.faults.FallbackHeartbeat"
                 )
-            if getattr(stall_detector, "on_recovery", None) is None:
-                stall_detector.on_recovery = self._on_source_recovered
+            if getattr(stall_detector, "recovery_callback", None) is None:
+                stall_detector.recovery_callback = self._on_source_recovered
         self.quarantine = quarantine
         if quarantine is not None:
             quarantine.bind(stats=self.engine.stats,

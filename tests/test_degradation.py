@@ -13,6 +13,7 @@ from repro.core.tracing import Tracer
 from repro.core.tuples import TimestampKind
 from repro.faults import FallbackHeartbeat, FaultPlan, QuarantinePolicy, \
     SourceOutage, StallDetector
+from repro.obs import EventBus
 from repro.query.builder import Query
 from repro.sim.kernel import Arrival, Simulation
 from repro.workloads.arrival import constant_arrivals
@@ -69,6 +70,29 @@ class TestStallDetector:
     def test_observe_ignores_unwatched_names(self):
         det = StallDetector(2.0)
         assert det.observe("ghost", 1.0) is False
+
+    def test_recovery_bus_events_do_not_reach_the_detector(self):
+        """The resync callback must not shadow the ``on_recovery`` bus hook
+        (recovery from disk): a bus carrying a detector, even one wired to
+        a kernel, takes recovery events without a hook error."""
+        det = StallDetector(1.0)
+        det.recovery_callback = lambda name, now: None
+        bus = EventBus([det])
+        bus.recovery(checkpoint=1, time=0.0)
+        assert bus.error_count == 0
+        assert det not in bus.listeners("on_recovery")
+        assert bus.listeners("on_arrival") == (det,)
+
+    def test_arrival_ending_a_stall_fires_the_callback(self):
+        graph, *_ = build()
+        det = StallDetector(2.0)
+        det.bind(graph, now=0.0)
+        fired = []
+        det.recovery_callback = lambda name, now: fired.append((name, now))
+        det.poll(5.0)
+        det.on_arrival(operator="fast", time=5.5)
+        det.on_arrival(operator="fast", time=5.6)
+        assert fired == [("fast", 5.5)]
 
 
 # --------------------------------------------------------------------- #
