@@ -540,8 +540,11 @@ class MetricsRegistry(Observer):
 
     def on_ets(self, *, operator, round_id, time, injected,
                offered=True) -> None:
-        self._live.ets[
-            operator, "injected" if injected else "declined"].inc()
+        # A backtrack to a source while no IWP operator idle-waits is not
+        # offered to the policy: it is no consultation, declined or not.
+        if offered:
+            self._live.ets[
+                operator, "injected" if injected else "declined"].inc()
 
     def on_punctuation(self, *, operator, round_id, time, origin,
                        ts=None) -> None:

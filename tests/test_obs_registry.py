@@ -159,6 +159,25 @@ class TestLiveCounting:
         assert reg.buffer_depth.high_water() > 0
         assert reg.buffer_depth.value() == 0  # drained at quiescence
 
+    def test_ets_consultations_count_only_offers(self):
+        """Backtracks that never reached the policy (``offered=False``) are
+        not declined consultations."""
+        class Offers(Observer):
+            skipped = 0
+
+            def on_ets(self, *, offered=True, **kw) -> None:
+                self.skipped += not offered
+
+        offers = Offers()
+        reg, handles = _run_scenario(observers=[offers])
+        stats = handles.sim.engine.stats
+        assert offers.skipped > 0  # the run does back off without offers
+        declined = sum(reg.ets_consultations.value(operator=op,
+                                                   outcome="declined")
+                       for op in ("fast", "slow"))
+        assert reg.ets_consultations.total == stats.ets_offers
+        assert declined == stats.ets_offers - stats.ets_injected
+
     def test_per_operator_steps_match(self):
         g, fast, _slow = union_graph()
         reg = MetricsRegistry()
@@ -297,11 +316,11 @@ class TestBufferDepthFromGraph:
 # Absorbed aggregates
 
 
-def _run_scenario(**over) -> tuple[MetricsRegistry, object]:
+def _run_scenario(observers=(), **over) -> tuple[MetricsRegistry, object]:
     reg = MetricsRegistry()
     config = ScenarioConfig(scenario="C", duration=8.0, seed=42,
                             rate_fast=40.0, rate_slow=0.5,
-                            observers=[reg], **over)
+                            observers=[reg, *observers], **over)
     handles = build_union_scenario(config).run()
     return reg, handles
 
