@@ -218,8 +218,8 @@ class EventBus:
     Each hook has its own dispatch table: the observers, in registration
     order, whose class overrides that hook or whose instance sets it.  The
     tables are rebuilt on :meth:`attach` / :meth:`detach`, so a hook nobody
-    listens to costs an empty loop — e.g. ``buffer_change`` or ``quiesce`` under a bare
-    :class:`~repro.obs.registry.MetricsRegistry`.
+    listens to costs an empty loop — e.g. ``buffer_change`` or ``quiesce``
+    under a bare :class:`~repro.obs.registry.MetricsRegistry`.
 
     Args:
         observers: Initial observers, invoked in this order for every event.
@@ -241,7 +241,7 @@ class EventBus:
 
     @property
     def observers(self) -> tuple[Observer, ...]:
-        """Registered observers in dispatch order (change with attach/detach)."""
+        """Registered observers in dispatch order (use attach/detach)."""
         return tuple(self._observers)
 
     def listeners(self, hook: str) -> tuple[Observer, ...]:

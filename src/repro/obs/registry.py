@@ -187,13 +187,7 @@ class Histogram(_Metric):
         self._n: dict[LabelValues, int] = {}
 
     def observe(self, value: float, **labels) -> None:
-        self._observe(self._key(labels), value)
-
-    def labels(self, **labels) -> "_HistogramChild":
-        """The series for ``labels``, pre-bound (see :meth:`Counter.labels`)."""
-        return _HistogramChild(self, self._key(labels))
-
-    def _observe(self, key: LabelValues, value: float) -> None:
+        key = self._key(labels)
         counts = self._counts.get(key)
         if counts is None:
             counts = self._counts[key] = [0] * len(self.buckets)
@@ -245,19 +239,6 @@ class _CounterChild:
         values[key] = values.get(key, 0) + amount
 
 
-class _HistogramChild:
-    """One pre-bound series of a :class:`Histogram`."""
-
-    __slots__ = ("_histogram", "_key")
-
-    def __init__(self, histogram: Histogram, key: LabelValues) -> None:
-        self._histogram = histogram
-        self._key = key
-
-    def observe(self, value: float) -> None:
-        self._histogram._observe(self._key, value)
-
-
 class _Children(dict):
     """Raw label value -> pre-bound child of one metric, bound on first use.
 
@@ -281,20 +262,17 @@ class _Children(dict):
 
 
 class _LiveSeries:
-    """The pre-bound children the per-event hooks write to."""
+    """The pre-bound children the per-event hooks write to (unlabeled
+    series need none: their key is ``()`` without a lookup)."""
 
-    __slots__ = ("rounds", "steps", "operator_steps", "join_probes",
-                 "emitted", "busy_time", "batch_run_length", "decisions",
-                 "ets", "punctuation", "arrivals")
+    __slots__ = ("steps", "operator_steps", "join_probes", "emitted",
+                 "decisions", "ets", "punctuation", "arrivals")
 
     def __init__(self, reg: "MetricsRegistry") -> None:
-        self.rounds = reg.rounds.labels()
         self.steps = _Children(reg.steps, "kind")
         self.operator_steps = _Children(reg.operator_steps, "operator")
         self.join_probes = _Children(reg.join_probes, "result")
         self.emitted = _Children(reg.emitted, "kind")
-        self.busy_time = reg.busy_time.labels()
-        self.batch_run_length = reg.batch_run_length.labels()
         self.decisions = _Children(reg.nos_decisions, "decision")
         self.ets = _Children(reg.ets_consultations, "operator", "outcome")
         self.punctuation = _Children(reg.punctuation_injected,
@@ -512,7 +490,7 @@ class MetricsRegistry(Observer):
         return _LiveSeries(self)
 
     def on_wakeup(self, *, round_id, time, entry=None) -> None:
-        self._live.rounds.inc()
+        self.rounds.inc()
 
     def on_step(self, *, operator, round_id, time, kind, steps=1, probes=0,
                 probes_emitted=0, emitted_data=0, emitted_punctuation=0,
@@ -531,8 +509,8 @@ class MetricsRegistry(Observer):
         if emitted_punctuation:
             live.emitted["punctuation"].inc(emitted_punctuation)
         if duration:
-            live.busy_time.inc(duration)
-        live.batch_run_length.observe(steps)
+            self.busy_time.inc(duration)
+        self.batch_run_length.observe(steps)
 
     def on_nos_decision(self, *, decision, operator, round_id, time,
                         detail="") -> None:

@@ -93,13 +93,6 @@ class TestHistogram:
         assert rows[("_bucket", (("le", "16"),))] == 3  # 20 overflows
         assert rows[("_bucket", (("le", "+Inf"),))] == 4
 
-    def test_labels_child_observes_the_same_series(self):
-        h = Histogram("runs", buckets=(1, 4))
-        h.labels(op="x").observe(3)
-        h.observe(1, op="x")
-        assert h.count(op="x") == 2 and h.sum(op="x") == 4
-        assert h.count() == 0
-
     def test_unsorted_buckets_rejected(self):
         with pytest.raises(ValueError):
             Histogram("bad", buckets=(4, 1))
