@@ -266,9 +266,11 @@ class EventBus:
         tables: dict[str, tuple[Observer, ...]] = dict.fromkeys(HOOKS, ())
         for observer in self._observers:
             cls, own = type(observer), getattr(observer, "__dict__", ())
+            solo = (observer,)  # shared by every table it starts
             for hook, noop in _NOOPS.items():
                 if getattr(cls, hook, None) is not noop or hook in own:
-                    tables[hook] += (observer,)
+                    listeners = tables[hook]
+                    tables[hook] = listeners + solo if listeners else solo
         self._tables = tables
 
     def __len__(self) -> int:
